@@ -65,6 +65,7 @@ from typing import (
 )
 
 from repro.errors import ProtocolError
+from repro.stream.records import RecordColumns
 
 #: Frame preamble identifying this protocol on the wire.
 MAGIC = b"SD"
@@ -194,6 +195,14 @@ _TAG_DICT = 0x0A
 _INT64 = struct.Struct(">q")
 _FLOAT64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
+#: Row tag, row length, key tag, key length: the 10 bytes that open
+#: every ``(str key, ...)`` row of a record list.
+_ROW_HEAD = struct.Struct(">BIBI")
+#: Zero bytes the row decoder appends so no fixed-size read of a short
+#: final row runs off the payload.
+_ROW_PADDING = bytes(_ROW_HEAD.size)
+_TAGGED_INT64 = struct.Struct(">Bq")
+_TAGGED_FLOAT = struct.Struct(">Bd")
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -209,8 +218,53 @@ def encode_value(value: Any) -> bytes:
     set on purpose, so a server never unpickles arbitrary objects.
     """
     out = bytearray()
-    _encode_into(out, value)
+    if type(value) is list:
+        _encode_rows(out, value)
+    else:
+        _encode_into(out, value)
     return bytes(out)
+
+
+def _encode_rows(out: bytearray, rows: List[Any]) -> None:
+    """Encode a list, fast for rows like ``(str, int)`` / ``(str, float,
+    int)``.
+
+    The bytes are exactly those of :func:`_encode_into`: row headers
+    and tagged keys are built once per distinct shape and key, and
+    ``str``/int64/``float`` items are packed inline; any other row or
+    item takes the generic encoder.
+    """
+    out.append(_TAG_LIST)
+    out += _U32.pack(len(rows))
+    heads: dict = {}
+    keys: dict = {}
+    pack_int = _TAGGED_INT64.pack
+    pack_float = _TAGGED_FLOAT.pack
+    for row in rows:
+        kind = type(row)
+        if kind is not tuple and kind is not list:
+            _encode_into(out, row)
+            continue
+        shape = (kind, len(row))
+        head = heads.get(shape)
+        if head is None:
+            head = heads[shape] = bytes(
+                [_TAG_TUPLE if kind is tuple else _TAG_LIST]
+            ) + _U32.pack(len(row))
+        out += head
+        for item in row:
+            item_type = type(item)
+            if item_type is str:
+                tagged = keys.get(item)
+                if tagged is None:
+                    tagged = keys[item] = encode_value(item)
+                out += tagged
+            elif item_type is int and _INT64_MIN <= item <= _INT64_MAX:
+                out += pack_int(_TAG_INT64, item)
+            elif item_type is float:
+                out += pack_float(_TAG_FLOAT, item)
+            else:
+                _encode_into(out, item)
 
 
 def _encode_into(out: bytearray, value: Any) -> None:
@@ -279,6 +333,79 @@ def decode_value(payload: bytes) -> Any:
             f"{len(payload) - offset} trailing bytes after payload value"
         )
     return value
+
+
+def decode_records(payload: bytes, arity: int) -> Any:
+    """Decode a record-list payload column-major when it has the shape.
+
+    A list of ``arity``-item rows (all tuples or all lists) decodes in
+    one pass over the bytes into a :class:`~repro.stream.records.
+    RecordColumns` — equal to the rows :func:`decode_value` would
+    return — with ``str`` keys memoised per payload and int64/float
+    items unpacked inline; any other item takes :func:`_decode_at`.
+    Every other payload, and every malformed one (so the error is the
+    generic decoder's own), goes through :func:`decode_value`.
+    """
+    try:
+        columns = _decode_rows(payload + _ROW_PADDING, len(payload), arity)
+    except (ProtocolError, IndexError, struct.error, UnicodeDecodeError):
+        columns = None
+    if columns is None:
+        return decode_value(payload)
+    return columns
+
+
+def _decode_rows(
+    padded: bytes, end: int, arity: int
+) -> Optional[RecordColumns]:
+    # ``padded`` is the payload plus zero bytes, so the fixed-size
+    # reads below never run off a short final row; anything read past
+    # ``end`` leaves ``offset != end`` and sends the payload back to
+    # the generic decoder.
+    if end < 10 or padded[0] != _TAG_LIST:
+        return None
+    count = _U32.unpack_from(padded, 1)[0]
+    row_tag = padded[5]
+    if not count or row_tag not in (_TAG_LIST, _TAG_TUPLE):
+        return None
+    columns: List[List[Any]] = [[] for _ in range(arity)]
+    keys = columns[0]
+    items = columns[1:]
+    names: dict = {}
+    head = _ROW_HEAD.unpack_from
+    tagged_int = _TAGGED_INT64.unpack_from
+    tagged_float = _TAGGED_FLOAT.unpack_from
+    offset = 5
+    for _ in range(count):
+        tag, length, key_tag, size = head(padded, offset)
+        if tag != row_tag or length != arity:
+            return None
+        if key_tag == _TAG_STR:
+            start = offset + 10
+            offset = start + size
+            if offset > end:
+                return None
+            raw = padded[start:offset]
+            key = names.get(raw)
+            if key is None:
+                key = names[raw] = raw.decode("utf-8")
+        else:
+            key, offset = _decode_at(padded, offset + 5)
+        keys.append(key)
+        for column in items:
+            tag = padded[offset]
+            if tag == _TAG_INT64:
+                column.append(tagged_int(padded, offset)[1])
+                offset += 9
+            elif tag == _TAG_FLOAT:
+                column.append(tagged_float(padded, offset)[1])
+                offset += 9
+            else:
+                item, offset = _decode_at(padded, offset)
+                column.append(item)
+    if offset != end:
+        return None
+    return RecordColumns(columns, tuple if row_tag == _TAG_TUPLE else list)
 
 
 def _need(payload: bytes, offset: int, count: int) -> None:
@@ -381,6 +508,10 @@ def pack_column(values: Sequence[Any]) -> Optional[Tuple[str, bytes]]:
 
 
 # -- frame codec ----------------------------------------------------
+
+#: Frame types whose payload is a record list, by row arity; their
+#: payloads decode through :func:`decode_records`.
+_RECORD_ARITY = {FrameType.SUBMIT_BATCH: 2, FrameType.SUBMIT_EVENT_BATCH: 3}
 
 
 class Frame(NamedTuple):
@@ -501,7 +632,11 @@ def try_decode_frame_traced(
         start += _EVENT_FIELD.size
     if len(buffer) - start < length:
         return None
-    payload = decode_value(bytes(buffer[start : start + length]))
+    body = bytes(buffer[start : start + length])
+    arity = _RECORD_ARITY.get(frame_type)
+    payload = (
+        decode_value(body) if arity is None else decode_records(body, arity)
+    )
     return (
         Frame(frame_type, payload, trace_id, event_time),
         start + length,

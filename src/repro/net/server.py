@@ -50,7 +50,16 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.kernels import column_view
@@ -63,6 +72,7 @@ from repro.net.protocol import (
 )
 from repro.service.gateway import ServiceGateway
 from repro.service.service import AggregationService, ServiceResult
+from repro.stream.records import RecordColumns
 from repro.telemetry import Telemetry
 
 #: Admission policies for an exhausted in-flight budget: ``block``
@@ -438,7 +448,9 @@ class AggregationServer:
                 admission_seconds = (
                     time.perf_counter() - admit_started
                 )
-                if item[0] in ("submit", "shed"):
+                if item[0] in (
+                    "submit", "submit_events", "submit_column", "shed"
+                ):
                     self._admission_hist.observe(admission_seconds)
                     tracer.record(
                         trace_id, "admission", admission_seconds
@@ -631,9 +643,18 @@ class AggregationServer:
         nbytes: int,
         trace_id: Optional[int],
     ) -> None:
-        started = time.perf_counter()
+        def timed_submit() -> float:
+            # Timed on the executor thread: the histogram holds the
+            # service call, not the wait for a worker thread and the
+            # GIL or the event loop's delay in resuming this coroutine.
+            started = time.perf_counter()
+            submit()
+            return time.perf_counter() - started
+
         try:
-            await loop.run_in_executor(self._executor, submit)
+            submit_seconds = await loop.run_in_executor(
+                self._executor, timed_submit
+            )
         except ReproError as error:
             await self._reply(
                 writer,
@@ -647,7 +668,6 @@ class AggregationServer:
             if connection.budget is not None:
                 await connection.budget.release(count, nbytes)
             self._inflight_gauge.set(self._budget.records)
-        submit_seconds = time.perf_counter() - started
         self._latency.add(submit_seconds)
         self._submit_hist.observe(submit_seconds)
         self.telemetry.tracer.record(
@@ -814,14 +834,17 @@ class AggregationServer:
         return self.telemetry.render_text()
 
 
-def _normalize_records(
-    frame_type: FrameType, payload: Any
-) -> List[Tuple[Any, Any]]:
-    """Validate a SUBMIT/SUBMIT_BATCH payload into ``(key, value)`` pairs."""
-    if frame_type is FrameType.SUBMIT:
-        pairs: Any = [payload]
-    else:
-        pairs = payload
+def _normalize_records(frame_type: FrameType, payload: Any) -> Sequence[Any]:
+    """Validate a SUBMIT/SUBMIT_BATCH payload into ``(key, value)`` pairs.
+
+    A :class:`~repro.stream.records.RecordColumns` payload — what the
+    decoder builds for a well-formed batch — is already pairs and
+    passes through as its columns; any other payload is checked row by
+    row.
+    """
+    if type(payload) is RecordColumns:
+        return payload
+    pairs = [payload] if frame_type is FrameType.SUBMIT else payload
     if not isinstance(pairs, (list, tuple)):
         raise ProtocolError(
             f"{frame_type.name} payload must be a sequence of "
@@ -840,12 +863,14 @@ def _normalize_records(
 
 def _normalize_events(
     frame_type: FrameType, payload: Any, event_time: Optional[float]
-) -> List[Tuple[Any, float, Any]]:
+) -> Sequence[Any]:
     """Validate event frames into ``(key, timestamp, value)`` triples.
 
     ``SUBMIT_EVENT`` carries its timestamp in the v3 header field and
     a ``(key, value)`` payload; ``SUBMIT_EVENT_BATCH`` carries triples
-    in the payload (any framing version).
+    in the payload (any framing version).  A decoded
+    :class:`~repro.stream.records.RecordColumns` whose timestamps are
+    all finite floats passes through as its columns.
     """
     if frame_type is FrameType.SUBMIT_EVENT:
         if event_time is None:
@@ -866,7 +891,13 @@ def _normalize_events(
                 f"got {payload!r}"
             )
         return [(payload[0], event_time, payload[1])]
-    if not isinstance(payload, (list, tuple)):
+    if type(payload) is RecordColumns:
+        stamps = payload.timestamps
+        if set(map(type, stamps)) <= {float} and all(
+            map(math.isfinite, stamps)
+        ):
+            return payload
+    if not isinstance(payload, (list, RecordColumns, tuple)):
         raise ProtocolError(
             "SUBMIT_EVENT_BATCH payload must be a sequence of "
             f"(key, timestamp, value) triples, got "

@@ -20,10 +20,11 @@ the service.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
 from repro.service.service import AggregationService, ServiceResult
+from repro.stream.records import RecordColumns
 
 
 class ServiceGateway:
@@ -64,7 +65,7 @@ class ServiceGateway:
         thread.  ``trace_id`` attributes the whole batch to one
         telemetry trace.
         """
-        batch = list(records)
+        batch = _as_batch(records)
         with self._lock:
             self._require_open()
             self._service.submit_many(batch, trace_id)
@@ -95,7 +96,7 @@ class ServiceGateway:
         late records are still counted as submitted here (the service
         accounts for them in its late-record counters).
         """
-        batch = list(records)
+        batch = _as_batch(records)
         with self._lock:
             self._require_open()
             self._service.submit_events(batch, trace_id)
@@ -214,3 +215,11 @@ class ServiceGateway:
             raise ServiceError(
                 "gateway is closed (service drained or aborted)"
             )
+
+
+def _as_batch(records: Iterable[Any]) -> Sequence[Any]:
+    """``records`` as a sized sequence, keeping a decoded
+    :class:`~repro.stream.records.RecordColumns` columnar."""
+    if type(records) is RecordColumns:
+        return records
+    return list(records)

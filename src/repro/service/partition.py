@@ -9,6 +9,11 @@ each round carries one uniform slice **watermark** to all shards.  That
 uniformity is what lets the cross-shard merger finalise slices without
 per-shard punctuations.
 
+Count-mode records take one path, a batch scatter
+(:meth:`Router._scatter`) behind :meth:`Router.put`,
+:meth:`Router.put_column` and :meth:`Router.put_many`; it frames exactly
+the batches that routing the records one at a time would.
+
 Load shedding lives here as pure, process-free helpers
 (:func:`drop_records`, :func:`thin_batch`); the transport layer decides
 *when* to shed (its queue is full) and these decide *what* to shed,
@@ -18,11 +23,14 @@ keeping an exact dropped-record count either way.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ServiceError
 from repro.service.slices import SliceClock
+from repro.stream.records import RecordColumns
 from repro.stream.watermark import Watermark
 
 #: Backpressure policies for a full shard queue: ``block`` waits for
@@ -180,49 +188,37 @@ def typed_column(values: Any) -> Optional[array]:
     return column
 
 
-def _append_value(buffer: ValueBuffer, value: Any) -> ValueBuffer:
-    """Append one record to a value buffer, demoting a typed buffer
-    to a list the moment the value would not round-trip exactly.
+def _extend_values(buffer: ValueBuffer, chunk: Any) -> ValueBuffer:
+    """Extend a value buffer with a chunk, typed exactly as appending
+    the chunk's values one by one would leave it.
 
-    The type checks are exact on purpose: a ``bool`` (or any int
+    A typed chunk (an ``array`` from a typed column) lands typed on an
+    empty buffer.  A typed buffer stays typed while every value has
+    its exact type — ``int`` within i64 for ``'q'``, ``float`` for
+    ``'d'`` — and demotes to a list otherwise: a ``bool`` (an int
     subclass) appended to an i64 buffer would silently re-type through
-    the column, so it demotes instead.
+    the column.
     """
     if type(buffer) is list:
-        buffer.append(value)
-        return buffer
-    kind = type(value)
-    if (buffer.typecode == "q" and kind is int) or (
-        buffer.typecode == "d" and kind is float
-    ):
-        try:
-            buffer.append(value)
-            return buffer
-        except OverflowError:
-            pass  # int outside i64: fall through to the list demotion
-    demoted = list(buffer)
-    demoted.append(value)
-    return demoted
-
-
-def _extend_values(buffer: ValueBuffer, chunk: Any) -> ValueBuffer:
-    """Extend a value buffer with a column chunk, staying typed when
-    both sides agree on a typecode (a C ``memcpy``) and demoting to a
-    list otherwise."""
-    if type(chunk) is array:
-        if type(buffer) is array and buffer.typecode == chunk.typecode:
-            buffer.extend(chunk)
-            return buffer
-        if type(buffer) is list and not buffer:
-            return chunk  # fresh slice copy: adopt it as the buffer
-        if type(buffer) is array:
-            buffer = list(buffer)
+        if not buffer and type(chunk) is array:
+            return chunk
         buffer.extend(chunk)
         return buffer
-    if type(buffer) is array:
-        buffer = list(buffer)
-    buffer.extend(chunk)
-    return buffer
+    if type(chunk) is array:
+        if chunk.typecode == buffer.typecode:
+            buffer.extend(chunk)
+            return buffer
+    else:
+        exact = int if buffer.typecode == "q" else float
+        if all(type(value) is exact for value in chunk):
+            try:
+                buffer.extend(array(buffer.typecode, chunk))
+                return buffer
+            except OverflowError:
+                pass  # int outside i64: demote below
+    demoted = list(buffer)
+    demoted.extend(chunk)
+    return demoted
 
 
 class Router:
@@ -307,28 +303,7 @@ class Router:
         :mod:`repro.telemetry.trace`); the id travels on the record's
         batch so shard outputs can echo which traces they served.
         """
-        self.position += 1
-        shard = self._shard_cache.get(key)
-        if shard is None:
-            shard = shard_of(key, self.num_shards)
-            self._shard_cache[key] = shard
-            self.seen_keys[shard].add(key)
-        self._positions[shard].append(self.position)
-        self._keys[shard].append(key)
-        self._values[shard] = _append_value(self._values[shard], value)
-        if trace is not None and self._traces is None:
-            # First traced record: materialise the trace columns,
-            # backfilling the still-buffered untraced records.
-            self._traces = [
-                [None] * len(self._positions[index])
-                for index in range(self.num_shards)
-            ]
-            self._traces[shard][-1] = trace
-        elif self._traces is not None:
-            self._traces[shard].append(trace)
-        if len(self._positions[shard]) >= self.batch_size:
-            return self.flush()
-        return []
+        return self._scatter([key], [value], trace)
 
     def put_event(
         self,
@@ -349,14 +324,10 @@ class Router:
                 "put_event requires a Router in event-time mode"
             )
         self.position += 1
-        shard = self._shard_cache.get(key)
-        if shard is None:
-            shard = shard_of(key, self.num_shards)
-            self._shard_cache[key] = shard
-            self.seen_keys[shard].add(key)
+        shard = self._shard(key)
         self._positions[shard].append(self.position)
         self._keys[shard].append(key)
-        self._values[shard] = _append_value(self._values[shard], value)
+        self._values[shard] = _extend_values(self._values[shard], (value,))
         self._timestamps[shard].append(timestamp)
         if trace is not None and self._traces is None:
             self._traces = [
@@ -376,15 +347,7 @@ class Router:
         values: Sequence[Any],
         trace: Optional[int] = None,
     ) -> List[Batch]:
-        """Route a run of records sharing one key; one shard lookup.
-
-        The column path of the ingestion front: the shard is resolved
-        once, positions are assigned as a range, and the per-shard
-        buffers grow by ``extend`` instead of per-record ``append``.
-        Flush rounds fire at exactly the same stream positions as the
-        equivalent sequence of :meth:`put` calls, so batching,
-        watermarks, and sequence numbers are byte-identical between
-        the two paths.
+        """Route a run of records sharing one key.
 
         A column that arrives typed (see :func:`typed_column` — packed
         wire bodies, arrays, numeric ndarrays) is buffered typed, so
@@ -392,72 +355,102 @@ class Router:
         shm plane encodes without a capability scan.
         """
         column = typed_column(values)
-        if column is not None:
-            values = column
-        elif type(values) is not list:
-            values = list(values)
-        if not values:
-            return []
-        shard = self._shard_cache.get(key)
-        if shard is None:
-            shard = shard_of(key, self.num_shards)
-            self._shard_cache[key] = shard
-            self.seen_keys[shard].add(key)
-        if trace is not None and self._traces is None:
-            self._traces = [
-                [None] * len(self._positions[index])
-                for index in range(self.num_shards)
-            ]
-        batches: List[Batch] = []
-        total = len(values)
-        start = 0
-        while start < total:
-            positions = self._positions[shard]
-            take = min(self.batch_size - len(positions), total - start)
-            first = self.position + 1
-            self.position += take
-            positions.extend(range(first, first + take))
-            self._keys[shard].extend([key] * take)
-            self._values[shard] = _extend_values(
-                self._values[shard], values[start : start + take]
-            )
-            if self._traces is not None:
-                self._traces[shard].extend([trace] * take)
-            start += take
-            if len(positions) >= self.batch_size:
-                batches.extend(self.flush())
-        return batches
+        if column is None:
+            column = values if type(values) is list else list(values)
+        return self._scatter([key] * len(column), column, trace)
 
     def put_many(
         self,
         records: Iterable[Tuple[Any, Any]],
         trace: Optional[int] = None,
     ) -> List[Batch]:
-        """Route ``(key, value)`` pairs, grouping contiguous key runs.
+        """Route ``(key, value)`` pairs in one scatter.
 
-        Mirrors the shard side (which folds contiguous same-key runs
-        through the bulk kernel path): each run of consecutive records
-        with the same key pays one shard lookup and one buffer extend
-        via :meth:`put_column`.  Record order — and therefore global
-        positions, flush rounds, and watermarks — is exactly that of
-        calling :meth:`put` per record.
+        A :class:`~repro.stream.records.RecordColumns` (what the wire
+        decoder hands the service) is scattered straight from its key
+        and value columns.  Global positions, flush rounds, watermarks,
+        sequence numbers and traces are exactly those of calling
+        :meth:`put` per record.
         """
+        if type(records) is RecordColumns:
+            return self._scatter(records.keys, records.values, trace)
+        pairs = records if type(records) is list else list(records)
+        return self._scatter(
+            [key for key, _ in pairs], [value for _, value in pairs], trace
+        )
+
+    def _scatter(
+        self, keys: Sequence[Any], values: ValueBuffer, trace: Optional[int]
+    ) -> List[Batch]:
+        """The one count-mode routing path behind every ``put*``.
+
+        One pass resolves each record's shard through the memo and
+        stable-partitions the batch per shard.  A flush round ends at
+        the record that fills some shard's buffer to ``batch_size``;
+        every shard then takes its records up to that boundary with one
+        slice per column.
+        """
+        total = len(values)
+        if not total:
+            return []
+        owners = list(map(self._shard_cache.get, keys))
+        if None in owners:
+            owners = [self._shard(key) for key in keys]
+        first = self.position + 1
+        end = first + total
+        if owners.count(owners[0]) == total:
+            parts = {owners[0]: (list(range(first, end)), keys, values)}
+        else:
+            parts = {shard: ([], [], []) for shard in sorted(set(owners))}
+            adds = {s: [c.append for c in part] for s, part in parts.items()}
+            for position, shard, key, value in zip(
+                count(first), owners, keys, values
+            ):
+                add_position, add_key, add_value = adds[shard]
+                add_position(position)
+                add_key(key)
+                add_value(value)
+        if trace is not None and self._traces is None:
+            # First traced record: materialise the trace columns,
+            # backfilling the still-buffered untraced records.
+            self._traces = [[None] * len(p) for p in self._positions]
+        typecode = values.typecode if type(values) is array else None
+        lows = dict.fromkeys(parts, 0)
         batches: List[Batch] = []
-        run_key: Any = None
-        run_values: List[Any] = []
-        for key, value in records:
-            if run_values and (key is run_key or key == run_key):
-                run_values.append(value)
-                continue
-            if run_values:
-                batches.extend(
-                    self.put_column(run_key, run_values, trace)
+        while self.position + 1 < end:
+            stop, full = end, False
+            for shard, (positions, _, _) in parts.items():
+                filled = lows[shard] + self.batch_size
+                filled -= len(self._positions[shard])
+                if filled <= len(positions) and positions[filled - 1] < stop:
+                    stop, full = positions[filled - 1] + 1, True
+            for shard, (positions, keyed, valued) in parts.items():
+                low = lows[shard]
+                high = lows[shard] = bisect_left(positions, stop, low)
+                if high == low:
+                    continue
+                self._positions[shard].fromlist(positions[low:high])
+                self._keys[shard] += keyed[low:high]
+                chunk = valued[low:high]
+                self._values[shard] = _extend_values(
+                    self._values[shard],
+                    chunk if typecode is None else array(typecode, chunk),
                 )
-            run_key = key
-            run_values = [value]
-        if run_values:
-            batches.extend(self.put_column(run_key, run_values, trace))
+                if self._traces is not None:
+                    self._traces[shard] += [trace] * (high - low)
+            self.position = stop - 1
+            if full:
+                batches.extend(self.flush())
         return batches
+
+    def _shard(self, key: Any) -> int:
+        """The memoised shard of ``key`` (first sight records it)."""
+        shard = self._shard_cache.get(key)
+        if shard is None:
+            shard = shard_of(key, self.num_shards)
+            self._shard_cache[key] = shard
+            self.seen_keys[shard].add(key)
+        return shard
 
     def flush(self) -> List[Batch]:
         """Frame every shard's buffer into batches (one flush round).

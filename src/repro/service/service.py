@@ -39,6 +39,7 @@ and the rest of the service keeps answering.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -523,9 +524,10 @@ class AggregationService:
     ) -> None:
         """Ingest ``(key, value)`` pairs, optionally under one trace.
 
-        Contiguous same-key runs are routed through the router's
-        column path (one shard lookup and one buffer extend per run),
-        matching the run-grouped fold on the shard side.
+        The pairs are routed in one scatter (see
+        :meth:`~repro.service.partition.Router.put_many`); a
+        :class:`~repro.stream.records.RecordColumns` from the wire
+        decoder is scattered straight from its columns.
         """
         if self._closed:
             raise ServiceError("cannot submit to a closed service")
@@ -592,8 +594,9 @@ class AggregationService:
         Raises:
             LateRecordError: under the ``"raise"`` policy, when the
                 record's timestamp is behind the watermark.
-            OutOfOrderError: when the timestamp is non-finite
-                (NaN/±inf) or precedes ``origin``.
+            OutOfOrderError: when the timestamp is not a real number
+                (a bool or a str, say), is non-finite (NaN/±inf), or
+                precedes ``origin``.
         """
         if self._closed:
             raise ServiceError("cannot submit to a closed service")
@@ -601,6 +604,19 @@ class AggregationService:
         if ingress is None:
             raise ServiceError(
                 f"submit_event requires mode='time', not {self.mode!r}"
+            )
+        # Only real numbers are timestamps: ``True`` would pass as 1.0
+        # and a str would escape ``math.isfinite`` as a raw TypeError.
+        # The exact ``float`` test keeps the common case to one check.
+        if type(timestamp) is not float and (
+            isinstance(timestamp, bool)
+            or not isinstance(timestamp, numbers.Real)
+        ):
+            raise OutOfOrderError(
+                f"event timestamp must be a real number, got "
+                f"{timestamp!r}",
+                position=timestamp,
+                watermark=ingress.watermark,
             )
         # NaN passes the origin check below (NaN comparisons are all
         # False) and would wedge the reorder buffer's release scan

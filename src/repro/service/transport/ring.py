@@ -4,17 +4,20 @@ One :class:`SpscRing` connects exactly one producer process to exactly
 one consumer process.  The shared segment holds two 8-byte cursors
 followed by the data region::
 
-    offset 0   head  (u64, little-endian) — total bytes ever published
-    offset 8   tail  (u64, little-endian) — total bytes ever consumed
+    offset 0   head  (u64, native order) — total bytes ever published
+    offset 8   tail  (u64, native order) — total bytes ever consumed
     offset 16  data  (``capacity`` bytes, used modulo ``capacity``)
 
 Cursors are *absolute* monotone counters, not wrapped offsets: the
 occupied byte count is always ``head - tail`` with no ambiguity between
 empty and full, and a stuck cursor is visible in stats as a frozen
 number rather than a plausible-looking small offset.  Each side writes
-only its own cursor, so no locks are needed; an 8-byte aligned store is
-atomic on every platform CPython runs on, and the GIL-released
-``memoryview`` slice assignments used here never tear an 8-byte value.
+only its own cursor, so no locks are needed as long as every cursor
+load and store is one aligned 8-byte access — atomic on every platform
+CPython runs on.  Both go through a ``memoryview`` cast to ``"Q"``,
+whose item get/set is a single 8-byte copy.  ``struct.pack_into`` is
+*not* safe here: it zero-fills the field and then writes it byte by
+byte, so the other process can read a half-written cursor.
 
 Records are length-prefixed: ``u32 length`` then ``length`` payload
 bytes.  A record never wraps — when the contiguous space to the end of
@@ -47,7 +50,6 @@ _CONTROL_BYTES = 16
 _WRAP_MARKER = 0xFFFFFFFF
 
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 
 class SpscRing:
@@ -86,6 +88,8 @@ class SpscRing:
         self.capacity = capacity
         self.name = self._shm.name
         self._buf = self._shm.buf
+        #: ``[head, tail]`` as aligned native u64s (see module docs).
+        self._cursors = self._buf[:_CONTROL_BYTES].cast("Q")
         self._data = self._buf[_CONTROL_BYTES : _CONTROL_BYTES + capacity]
         #: Pending (payload view, new tail) from an uncommitted read.
         self._pending: Optional[tuple] = None
@@ -94,16 +98,16 @@ class SpscRing:
     # -- cursors ----------------------------------------------------
 
     def _head(self) -> int:
-        return _U64.unpack_from(self._buf, 0)[0]
+        return self._cursors[0]
 
     def _tail(self) -> int:
-        return _U64.unpack_from(self._buf, 8)[0]
+        return self._cursors[1]
 
     def _set_head(self, value: int) -> None:
-        _U64.pack_into(self._buf, 0, value)
+        self._cursors[0] = value
 
     def _set_tail(self, value: int) -> None:
-        _U64.pack_into(self._buf, 8, value)
+        self._cursors[1] = value
 
     def occupancy(self) -> int:
         """Bytes currently published but not yet consumed."""
@@ -212,6 +216,7 @@ class SpscRing:
             self._pending = None
         try:
             self._data.release()
+            self._cursors.release()
             self._buf = None
             self._data = None
             self._shm.close()

@@ -401,3 +401,33 @@ class TestProtocolAndLifecycle:
                 server_sock.close()
 
         asyncio.run(scenario())
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("kind", ["batch", "event_batch", "column"])
+def test_every_submit_kind_observes_the_admission_histogram(kind):
+    """Admission latency was recorded only for SUBMIT/SUBMIT_BATCH;
+    event and column submits passed admission unmeasured."""
+    from repro.windows.timebased import TimeQuery
+
+    if kind == "event_batch":
+        service = AggregationService(
+            [TimeQuery(4.0, 2.0)], get_operator("sum"), num_shards=2,
+            transport="inline", mode="time", lateness=1.0,
+        )
+    else:
+        service = make_service()
+    aggregation_server = AggregationServer(service)
+    histogram = aggregation_server.telemetry.registry.get(
+        "repro_net_admission_seconds"
+    )
+    with ServerThread(aggregation_server) as thread:
+        with AggregationClient("127.0.0.1", thread.port) as client:
+            before = histogram.count
+            if kind == "batch":
+                client.submit_batch([("a", 1), ("b", 2)])
+            elif kind == "event_batch":
+                client.submit_event_batch([("a", 0.5, 1), ("b", 1.0, 2)])
+            else:
+                client.submit_column("a", [1, 2, 3])
+            assert histogram.count == before + 1

@@ -507,6 +507,80 @@ def test_service_submit_event_rejects_nonfinite_timestamps(bad):
         raise
 
 
+@pytest.mark.parametrize("bad", ["5.5", True, False, None, b"1"])
+def test_service_submit_event_rejects_non_numeric_timestamps(bad):
+    """A str escaped as a raw TypeError and a bool passed as 1.0/0.0;
+    both are typed ingress errors raised before any state changes."""
+    from repro.service import AggregationService
+
+    service = AggregationService(
+        [TimeQuery(2.0, 1.0)],
+        get_operator("sum"),
+        num_shards=2,
+        mode="time",
+        transport="inline",
+        lateness=1.0,
+    )
+    try:
+        service.submit_event("k", 1, 5.0)
+        before = service.event_time_stats()
+        with pytest.raises(OutOfOrderError) as info:
+            service.submit_event("k", 2, bad)
+        assert "real number" in str(info.value)
+        assert info.value.position is bad
+        assert service.event_time_stats() == before
+        service.submit_event("k", 3, 6)  # a plain int is a timestamp
+        answers = list(service.poll())
+        service.close()
+        answers.extend(service.poll())
+        oracle = EventTimeEngine(
+            [TimeQuery(2.0, 1.0)], get_operator("sum"), lateness=1.0
+        )
+        expected = []
+        for ts, value in [(5.0, 1), (6.0, 3)]:
+            expected.extend(oracle.feed(ts, value))
+        expected.extend(oracle.finish())
+        assert answers == expected
+    except BaseException:
+        service.abort()
+        raise
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, "1.0"])
+def test_wire_normalize_rejects_bad_timestamps_in_decoded_columns(bad):
+    """A decoded event batch is columnar; its timestamp checks hold."""
+    from repro.net.protocol import encode_frame, try_decode_frame
+    from repro.net.server import _normalize_events
+    from repro.stream.records import RecordColumns
+
+    frame = encode_frame(
+        FrameType.SUBMIT_EVENT_BATCH, [("k", 1.0, 10), ("k", bad, 11)]
+    )
+    _, payload, _ = try_decode_frame(frame)
+    assert type(payload) is RecordColumns
+    with pytest.raises(ProtocolError):
+        _normalize_events(FrameType.SUBMIT_EVENT_BATCH, payload, None)
+
+
+def test_wire_normalize_passes_clean_decoded_columns_through():
+    from repro.net.protocol import encode_frame, try_decode_frame
+    from repro.net.server import _normalize_events
+
+    rows = [("a", 1.0, 10), ("b", 2.5, 11)]
+    _, payload, _ = try_decode_frame(
+        encode_frame(FrameType.SUBMIT_EVENT_BATCH, rows)
+    )
+    assert _normalize_events(
+        FrameType.SUBMIT_EVENT_BATCH, payload, None
+    ) is payload
+    # An int timestamp is converted, as on the row path.
+    _, payload, _ = try_decode_frame(
+        encode_frame(FrameType.SUBMIT_EVENT_BATCH, [("a", 3, 10)])
+    )
+    normalized = _normalize_events(FrameType.SUBMIT_EVENT_BATCH, payload, None)
+    assert [type(ts) for _, ts, _ in normalized] == [float]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_wire_normalize_rejects_nonfinite_event_header(bad):
     from repro.net.server import _normalize_events

@@ -184,6 +184,47 @@ class TestFrameCodec:
         assert second[2] == len(buffer)
 
 
+class TestRecordBatchBodies:
+    """Malformed batch bodies fail exactly as on the generic decoder."""
+
+    ROWS = [("alpha", 1), ("beta", -2), ("alpha", 3)]
+
+    def _frame(self, body: bytes) -> bytes:
+        return (
+            HEADER.pack(
+                MAGIC, LEGACY_PROTOCOL_VERSION,
+                int(FrameType.SUBMIT_BATCH), len(body),
+            )
+            + body
+        )
+
+    def test_well_formed_body_decodes_to_columns(self):
+        _, payload, _ = try_decode_frame(
+            encode_frame(FrameType.SUBMIT_BATCH, self.ROWS)
+        )
+        assert payload == self.ROWS
+        assert payload.keys == ["alpha", "beta", "alpha"]
+        assert payload.values == [1, -2, 3]
+        assert payload.keys[0] is payload.keys[2]  # one str per key
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda body: body[:-3], "truncated"),
+            (lambda body: body + b"\x00", "trailing"),
+            (
+                lambda body: body.replace(b"beta", b"b\xffta"),
+                "UTF-8",
+            ),
+        ],
+        ids=["truncated", "trailing", "bad-utf8"],
+    )
+    def test_malformed_body_raises_protocol_error(self, mangle, message):
+        body = mangle(encode_value(self.ROWS))
+        with pytest.raises(ProtocolError, match=message):
+            try_decode_frame(self._frame(body))
+
+
 class TestTracedFrames:
     """The v2 trace-id field: minimal-version emission, back-compat."""
 

@@ -7,7 +7,9 @@ exact read-then-commit protocol and wraparound behaviour checked here.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
+import time
 
 import pytest
 
@@ -157,3 +159,53 @@ def test_occupancy_ratio_is_monotone(ring):
         ratios.append(ring.occupancy_ratio())
     assert ratios == sorted(ratios)
     assert 0.0 < ratios[-1] <= 1.0
+
+
+# -- cross-process cursor atomicity ---------------------------------
+
+STRESS_RECORDS = 100_000
+
+
+def _stress_payload(index: int) -> bytes:
+    return index.to_bytes(8, "little") * (1 + index % 5)
+
+
+def _produce(ring: SpscRing, records: int) -> None:
+    for index in range(records):
+        payload = _stress_payload(index)
+        while not ring.try_write(payload):
+            pass
+
+
+def test_cursors_never_tear_between_processes():
+    """A forked producer and this consumer hammer a small ring.
+
+    Each cursor must be stored and loaded as one 8-byte access: a
+    cursor written through ``struct.pack_into`` is zero-filled first,
+    so the consumer could read a head far behind its tail and raise
+    ``TornFrameError`` on an intact ring.
+    """
+    ring = SpscRing(capacity=512)
+    producer = multiprocessing.get_context("fork").Process(
+        target=_produce, args=(ring, STRESS_RECORDS), daemon=True
+    )
+    producer.start()
+    deadline = time.monotonic() + 120
+    try:
+        for index in range(STRESS_RECORDS):
+            view = ring.try_read()
+            while view is None:
+                assert time.monotonic() < deadline, f"stalled at {index}"
+                view = ring.try_read()
+            payload = bytes(view)
+            view.release()
+            ring.commit()
+            assert payload == _stress_payload(index), index
+        producer.join(30)
+        assert producer.exitcode == 0
+    finally:
+        if producer.is_alive():
+            producer.kill()
+            producer.join()
+        ring.close()
+        ring.unlink()
