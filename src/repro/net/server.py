@@ -22,10 +22,10 @@ request's records are dropped immediately and the client gets a
 ``RETRY`` reply (in order), mirroring ``drop``-style load shedding
 with exact shed counts.
 
-STATS replies carry throughput, a
-:class:`~repro.metrics.stats.Reservoir`-sampled submit-latency
-summary, and accepted/shed/poison counters next to the service's own
-live snapshot; see ``docs/serving.md`` for the full payload schema.
+STATS replies carry throughput, a submit-latency summary read from
+the ``repro_net_submit_seconds`` histogram, and accepted/shed/poison
+counters next to the service's own live snapshot; see
+``docs/serving.md`` for the full payload schema.
 
 Observability: every server owns a :class:`~repro.telemetry.Telemetry`
 hub (or shares one passed in) and attaches it to the wrapped service,
@@ -63,7 +63,6 @@ from typing import (
 
 from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.kernels import column_view
-from repro.metrics import Reservoir, maybe_summary
 from repro.net.protocol import (
     FrameType,
     encode_answers,
@@ -189,7 +188,6 @@ class AggregationServer:
         retry_after: Backoff hint, in seconds, carried in RETRY replies.
         executor_workers: Thread-pool size for (possibly blocking)
             service calls.
-        latency_capacity: Reservoir size for submit-latency sampling.
         telemetry: The :class:`~repro.telemetry.Telemetry` hub to
             observe into; a fresh hub is created when ``None``.  The
             hub is attached to the wrapped service, so one registry
@@ -211,7 +209,6 @@ class AggregationServer:
         admission_policy: str = "shed",
         retry_after: float = 0.05,
         executor_workers: int = 4,
-        latency_capacity: int = 1024,
         telemetry: Optional[Telemetry] = None,
         slow_threshold: float = 0.050,
     ):
@@ -240,7 +237,6 @@ class AggregationServer:
             max_workers=executor_workers,
             thread_name_prefix="repro-net",
         )
-        self._latency = Reservoir(capacity=latency_capacity, seed=0)
         self._server: Optional[asyncio.AbstractServer] = None
         self._connection_tasks: set = set()
         self._next_connection_id = 0
@@ -668,7 +664,6 @@ class AggregationServer:
             if connection.budget is not None:
                 await connection.budget.release(count, nbytes)
             self._inflight_gauge.set(self._budget.records)
-        self._latency.add(submit_seconds)
         self._submit_hist.observe(submit_seconds)
         self.telemetry.tracer.record(
             trace_id, "submit", submit_seconds
@@ -779,7 +774,8 @@ class AggregationServer:
     ) -> Dict[str, Any]:
         """The STATS reply payload (see ``docs/serving.md``)."""
         uptime = time.perf_counter() - self._started_at
-        summary = maybe_summary(self._latency.values)
+        submits = self._submit_hist
+        submitted = submits.count
         return {
             "server": {
                 "uptime_seconds": uptime,
@@ -802,16 +798,15 @@ class AggregationServer:
                 ),
                 "submit_latency": (
                     {
-                        "count": summary.count,
-                        "minimum": summary.minimum,
-                        "p25": summary.p25,
-                        "median": summary.median,
-                        "mean": summary.mean,
-                        "p75": summary.p75,
-                        "maximum": summary.maximum,
-                        "sampled_of": self._latency.seen,
+                        "count": submitted,
+                        "minimum": submits.minimum,
+                        "p25": submits.quantile(0.25),
+                        "median": submits.quantile(0.5),
+                        "mean": submits.sum / submitted,
+                        "p75": submits.quantile(0.75),
+                        "maximum": submits.maximum,
                     }
-                    if summary is not None
+                    if submitted
                     else None
                 ),
             },

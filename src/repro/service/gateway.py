@@ -92,15 +92,23 @@ class ServiceGateway:
 
         Returns the number of records handed to the service.  Raises
         :class:`~repro.errors.LateRecordError` under the service's
-        ``"raise"`` late policy; under ``"drop"``/``"side_output"``
-        late records are still counted as submitted here (the service
-        accounts for them in its late-record counters).
+        ``"raise"`` late policy; the records before the late one stay
+        in the service and are counted as submitted.  Under
+        ``"drop"``/``"side_output"`` late records are still counted as
+        submitted here (the service accounts for them in its
+        late-record counters).
         """
         batch = _as_batch(records)
         with self._lock:
             self._require_open()
-            self._service.submit_events(batch, trace_id)
-            self._records_submitted += len(batch)
+            submit_event = self._service.submit_event
+            accepted = 0
+            try:
+                for key, timestamp, value in batch:
+                    submit_event(key, value, timestamp, trace_id)
+                    accepted += 1
+            finally:
+                self._records_submitted += accepted
             self._batches_submitted += 1
         return len(batch)
 

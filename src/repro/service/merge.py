@@ -11,13 +11,14 @@ path (invertible or selection-type).  :func:`check_mergeable` enforces
 both up front so unsound merges are rejected at service construction,
 not detected as wrong answers.
 
-:class:`GlobalMerger` tracks each shard's slice watermark, finalises a
-slice once every shard has passed it, and drives the shared SlickDeque
-final aggregation through
-:meth:`~repro.core.multiquery.SharedSlickDeque.feed_partial`.  Both it
-and :class:`PerKeyCollator` are idempotent under replay — a recovered
-worker re-emits outputs it produced before dying, and the merger must
-not double-count them.
+:class:`GlobalMerger` (count mode) and :class:`EventTimeMerger` (time
+mode) share one min-frontier: each tracks every shard's slice
+watermark, finalises a slice once every shard has passed it, and feeds
+the merged partial to a shared SlickDeque final aggregation.  They
+differ only in their slice clock and in how one merged partial becomes
+answers.  The mergers and :class:`PerKeyCollator` are idempotent under
+replay — a recovered worker re-emits outputs it produced before dying,
+and the merger must not double-count them.
 """
 
 from __future__ import annotations
@@ -68,36 +69,22 @@ def check_mergeable(operator: AggregateOperator) -> None:
         )
 
 
-class GlobalMerger:
-    """Combine per-shard slice partials into global engine answers.
+class _SliceMerger:
+    """The min-frontier shared by the count and event-time mergers.
 
     A slice is finalised once the minimum shard watermark passes it:
     every shard has then shipped (and acknowledged) all of its records
     for the slice, so the per-shard partials on hand are complete.
     Shards with no records in a slice simply contribute nothing — the
-    fold starts from the operator identity.
-
-    Args:
-        queries: The service's ACQ set.
-        operator: The (mergeable) aggregate operator.
-        technique: Partial-aggregation technique of the shared plan.
-        num_shards: Number of shards feeding this merger.
+    fold starts from the operator identity.  The watermarks count
+    closed slices of the subclass's clock, so the rule is the same in
+    count and event time.  Subclasses set ``clock`` and turn one
+    merged slice partial into answers in :meth:`_emit`.
     """
 
-    def __init__(
-        self,
-        queries: Sequence[Query],
-        operator: AggregateOperator,
-        technique: str,
-        num_shards: int,
-    ):
+    def __init__(self, operator: AggregateOperator, num_shards: int):
         check_mergeable(operator)
         self.operator = operator
-        self.plan = build_shared_plan(queries, technique)
-        self.clock = SliceClock(self.plan)
-        self._final = SharedSlickDeque(
-            queries, operator, technique, plan=self.plan
-        )
         # One monotone Watermark per shard: replayed outputs from a
         # recovered worker present stale values, which ``advance``
         # ignores by construction.
@@ -125,7 +112,7 @@ class GlobalMerger:
         """
         return bool(self._failed)
 
-    def mark_failed(self, shard_id: int) -> List[Answer]:
+    def mark_failed(self, shard_id: int) -> List[Any]:
         """Stop waiting on a failed shard's watermark.
 
         The shard's already-absorbed partials still participate (they
@@ -137,7 +124,7 @@ class GlobalMerger:
         self._failed.add(shard_id)
         return self._drain()
 
-    def on_output(self, output: ShardOutput) -> List[Answer]:
+    def on_output(self, output: ShardOutput) -> List[Any]:
         """Absorb one shard output; return newly-released answers."""
         for index, value in output.partials:
             if index >= self._next_slice:  # replays of merged slices
@@ -147,8 +134,8 @@ class GlobalMerger:
         self._watermarks[output.shard_id].advance(output.watermark)
         return self._drain()
 
-    def _drain(self) -> List[Answer]:
-        answers: List[Answer] = []
+    def _drain(self) -> List[Any]:
+        answers: List[Any] = []
         active = [
             watermark.value
             for shard_id, watermark in enumerate(self._watermarks)
@@ -163,31 +150,64 @@ class GlobalMerger:
                 merged = operator.combine(
                     merged, shard_partials[shard_id]
                 )
-            answers.extend(
-                self._final.feed_partial(
-                    merged, self.clock.end_position(self._next_slice)
-                )
-            )
+            answers.extend(self._emit(self._next_slice, merged))
             self._next_slice += 1
         self.answers_emitted += len(answers)
         return answers
 
+    def _emit(self, index: int, merged: Any) -> List[Any]:
+        """Answers released by slice ``index``'s merged partial."""
+        raise NotImplementedError
 
-class EventTimeMerger:
+
+class GlobalMerger(_SliceMerger):
+    """Combine per-shard slice partials into global engine answers.
+
+    Slices are the shared plan's edge-delimited stretches of arrival
+    positions (:class:`~repro.service.slices.SliceClock`); each merged
+    partial drives the shared SlickDeque final aggregation, so answers
+    are the single-process engine's ``(position, query, answer)``.
+
+    Args:
+        queries: The service's ACQ set.
+        operator: The (mergeable) aggregate operator.
+        technique: Partial-aggregation technique of the shared plan.
+        num_shards: Number of shards feeding this merger.
+    """
+
+    def __init__(
+        self,
+        queries: Sequence[Query],
+        operator: AggregateOperator,
+        technique: str,
+        num_shards: int,
+    ):
+        super().__init__(operator, num_shards)
+        self.plan = build_shared_plan(queries, technique)
+        self.clock = SliceClock(self.plan)
+        self._final = SharedSlickDeque(
+            queries, operator, technique, plan=self.plan
+        )
+
+    def _emit(self, index: int, merged: Any) -> List[Answer]:
+        return self._final.feed_partial(
+            merged, self.clock.end_position(index)
+        )
+
+
+class EventTimeMerger(_SliceMerger):
     """Combine per-shard *time-slice* partials into time-query answers.
 
-    The sharded twin of
+    The sharded counterpart of
     :class:`~repro.windows.timebased.TimeWindowEngine`: the time
     queries reduce to count queries over uniform time slices (one
     merged partial per slice, the operator identity for empty slices)
     and a shared SlickDeque plan over *partials* produces the final
-    aggregation.  Slice completion is the same min-frontier rule as
-    :class:`GlobalMerger`, but the per-shard watermarks count closed
-    *time* slices — the service derives them from its bounded-lateness
-    event watermark, and the shard echoes them monotonically even
-    across a crash/replay cycle.  Answers are
-    ``(window_end_timestamp, time_query, answer)`` triples, identical
-    to the single-node engine's.
+    aggregation.  The per-shard watermarks count closed *time* slices
+    (:class:`~repro.stream.watermark.TimeSliceClock`) — the service
+    derives them from its bounded-lateness event watermark.  Answers
+    are ``(window_end_timestamp, time_query, answer)`` triples,
+    identical to the single-node engine's.
     """
 
     def __init__(
@@ -199,81 +219,27 @@ class EventTimeMerger:
         origin: float = 0.0,
         resolution: float = DEFAULT_RESOLUTION,
     ):
-        check_mergeable(operator)
-        self.operator = operator
-        self.queries = tuple(queries)
-        self.origin = origin
-        self.slice_seconds = slice_duration(self.queries, resolution)
-        self.clock = TimeSliceClock(self.slice_seconds, origin)
+        super().__init__(operator, num_shards)
+        slice_seconds = slice_duration(queries, resolution)
+        self.clock = TimeSliceClock(slice_seconds, origin)
         count_to_time = {}
-        for query in self.queries:
+        for query in queries:
             count_to_time[
-                query.to_count_query(self.slice_seconds, resolution)
+                query.to_count_query(slice_seconds, resolution)
             ] = query
         self._count_to_time = count_to_time
         self._final = SharedSlickDeque(
             list(count_to_time), partial_view(operator), technique
         )
-        self._watermarks = [Watermark(0) for _ in range(num_shards)]
-        self._pending: Dict[int, Dict[int, Any]] = {}
-        self._next_slice = 0
-        self._failed: set = set()
-        #: Global answers emitted so far.
-        self.answers_emitted = 0
 
-    @property
-    def merged_slices(self) -> int:
-        """Number of time slices finalised so far."""
-        return self._next_slice
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any shard has failed (answers since then are partial)."""
-        return bool(self._failed)
-
-    def mark_failed(self, shard_id: int) -> List[TimeAnswer]:
-        """Stop waiting on a failed shard's watermark (see GlobalMerger)."""
-        self._failed.add(shard_id)
-        return self._drain()
-
-    def on_output(self, output: ShardOutput) -> List[TimeAnswer]:
-        """Absorb one shard output; return newly-released answers."""
-        for index, value in output.partials:
-            if index >= self._next_slice:  # replays of merged slices
-                self._pending.setdefault(index, {})[
-                    output.shard_id
-                ] = value
-        self._watermarks[output.shard_id].advance(output.watermark)
-        return self._drain()
-
-    def _drain(self) -> List[TimeAnswer]:
-        answers: List[TimeAnswer] = []
-        active = [
-            watermark.value
-            for shard_id, watermark in enumerate(self._watermarks)
-            if shard_id not in self._failed
+    def _emit(self, index: int, merged: Any) -> List[TimeAnswer]:
+        # Every answer of slice ``index`` ends where the slice ends.
+        end = self.clock.slice_end(index)
+        lower = self.operator.lower
+        return [
+            (end, self._count_to_time[count_query], lower(raw))
+            for _, count_query, raw in self._final.feed(merged)
         ]
-        frontier = min(active) if active else self._next_slice
-        operator = self.operator
-        count_to_time = self._count_to_time
-        while self._next_slice < frontier:
-            shard_partials = self._pending.pop(self._next_slice, {})
-            merged = operator.identity
-            for shard_id in sorted(shard_partials):
-                merged = operator.combine(
-                    merged, shard_partials[shard_id]
-                )
-            for position, count_query, raw in self._final.feed(merged):
-                answers.append(
-                    (
-                        self.origin + position * self.slice_seconds,
-                        count_to_time[count_query],
-                        operator.lower(raw),
-                    )
-                )
-            self._next_slice += 1
-        self.answers_emitted += len(answers)
-        return answers
 
 
 class PerKeyCollator:

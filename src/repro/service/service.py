@@ -51,7 +51,6 @@ from repro.metrics import Summary, ThroughputResult, maybe_summary
 from repro.service.merge import EventTimeMerger, GlobalMerger, PerKeyCollator
 from repro.service.partition import Router, shard_of
 from repro.service.shard import SHARD_MODES, ShardConfig
-from repro.service.slices import SliceClock
 from repro.service.supervisor import (
     DEFAULT_RING_CAPACITY,
     InlineTransport,
@@ -273,18 +272,13 @@ class AggregationService:
         self._merger: Optional[Any] = None
         self._collator: Optional[PerKeyCollator] = None
         self._ingress: Optional[TimestampReorderBuffer] = None
-        self._time_clock = None
         self._late_policy = late_policy
         self._late_seq = 0
         self._late_by_shard = [0] * num_shards
-        clock = None
-        event_time = False
-        slice_seconds = 0.0
         if mode == "global":
             self._merger = GlobalMerger(
                 self.queries, operator, technique, num_shards
             )
-            clock = self._merger.clock
         elif mode == "time":
             for query in self.queries:
                 if not isinstance(query, TimeQuery):
@@ -300,9 +294,6 @@ class AggregationService:
                 origin=origin,
                 resolution=resolution,
             )
-            self._time_clock = self._merger.clock
-            slice_seconds = self._merger.slice_seconds
-            event_time = True
             # The ingress reorder buffer releases records in timestamp
             # order; ``drop`` diverts late records to the dead-letter
             # sink, ``side_output`` only counts them, and ``raise``
@@ -314,10 +305,23 @@ class AggregationService:
             # Validate the plan eagerly (same errors as global mode).
             build_shared_plan(self.queries, technique)
             self._collator = PerKeyCollator()
+        #: The merger's slice clock (``None`` in per-key mode).
+        self._clock: Optional[Any] = (
+            self._merger.clock if self._merger is not None else None
+        )
+        event_time = self._ingress is not None
         self.origin = origin
-        self.slice_seconds = slice_seconds
+        self.slice_seconds = (
+            self._clock.slice_seconds if event_time else 0.0
+        )
+        # Count mode hands the router its clock to stamp watermarks at
+        # flush time; time mode advances the router's watermark itself,
+        # from the bounded-lateness event watermark.
         self._router = Router(
-            num_shards, batch_size, clock, event_time=event_time
+            num_shards,
+            batch_size,
+            None if event_time else self._clock,
+            event_time=event_time,
         )
         configs = [
             ShardConfig(
@@ -331,7 +335,7 @@ class AggregationService:
                 throttle_seconds=shard_delay_seconds,
                 heartbeat_interval=heartbeat_interval,
                 poison_policy=poison_policy,
-                slice_seconds=slice_seconds,
+                slice_seconds=self.slice_seconds,
                 origin=origin,
             )
             for shard in range(num_shards)
@@ -497,25 +501,27 @@ class AggregationService:
 
     # -- ingestion --------------------------------------------------
 
+    def _require_submit(self, call: str) -> None:
+        """Refuse ``call`` on a closed service or in the wrong mode.
+
+        Time mode takes only event-timestamped records
+        (``submit_event``/``submit_events``); the other modes take none.
+        """
+        if self._closed:
+            raise ServiceError("cannot submit to a closed service")
+        if (self._ingress is not None) != (call == "submit_event"):
+            raise ServiceError(
+                f"{call} is not available in mode {self.mode!r}: "
+                "mode='time' takes event-timestamped records only "
+                "(submit_event/submit_events), the other modes none"
+            )
+
     def submit(
         self, key: Any, value: Any, trace_id: Optional[int] = None
     ) -> None:
         """Ingest one keyed record, optionally attributed to a trace."""
-        if self._closed:
-            raise ServiceError("cannot submit to a closed service")
-        if self._ingress is not None:
-            raise ServiceError(
-                "time-mode service requires submit_event (records "
-                "must carry an event timestamp)"
-            )
-        if trace_id is not None:
-            self._note_trace_interval(
-                self._router.position + 1,
-                self._router.position + 1,
-                trace_id,
-            )
-        for batch in self._router.put(key, value, trace_id):
-            self._transport.ship(batch)
+        self._require_submit("submit")
+        self._route(self._router.put, trace_id, key, value)
 
     def submit_many(
         self,
@@ -529,20 +535,8 @@ class AggregationService:
         :class:`~repro.stream.records.RecordColumns` from the wire
         decoder is scattered straight from its columns.
         """
-        if self._closed:
-            raise ServiceError("cannot submit to a closed service")
-        if self._ingress is not None:
-            raise ServiceError(
-                "time-mode service requires submit_events (records "
-                "must carry event timestamps)"
-            )
-        first = self._router.position + 1
-        for batch in self._router.put_many(records, trace_id):
-            self._transport.ship(batch)
-        if trace_id is not None and self._router.position >= first:
-            self._note_trace_interval(
-                first, self._router.position, trace_id
-            )
+        self._require_submit("submit_many")
+        self._route(self._router.put_many, trace_id, records)
 
     def submit_column(
         self,
@@ -557,15 +551,15 @@ class AggregationService:
         buffers; the network layer's ``SUBMIT_COLUMN`` request lands
         here.
         """
-        if self._closed:
-            raise ServiceError("cannot submit to a closed service")
-        if self._ingress is not None:
-            raise ServiceError(
-                "time-mode service requires submit_events (records "
-                "must carry event timestamps)"
-            )
+        self._require_submit("submit_column")
+        self._route(self._router.put_column, trace_id, key, values)
+
+    def _route(self, put: Any, trace_id: Optional[int], *args: Any) -> None:
+        """Route count-mode records through the router method ``put``,
+        ship the batches it releases, and remember the positions the
+        records took under ``trace_id``."""
         first = self._router.position + 1
-        for batch in self._router.put_column(key, values, trace_id):
+        for batch in put(*args, trace_id):
             self._transport.ship(batch)
         if trace_id is not None and self._router.position >= first:
             self._note_trace_interval(
@@ -598,13 +592,9 @@ class AggregationService:
                 (a bool or a str, say), is non-finite (NaN/±inf), or
                 precedes ``origin``.
         """
-        if self._closed:
-            raise ServiceError("cannot submit to a closed service")
         ingress = self._ingress
-        if ingress is None:
-            raise ServiceError(
-                f"submit_event requires mode='time', not {self.mode!r}"
-            )
+        if ingress is None or self._closed:
+            self._require_submit("submit_event")
         # Only real numbers are timestamps: ``True`` would pass as 1.0
         # and a str would escape ``math.isfinite`` as a raw TypeError.
         # The exact ``float`` test keeps the common case to one check.
@@ -640,10 +630,21 @@ class AggregationService:
             if trace_id is not None and self._telemetry is not None
             else None
         )
+        released: List[Tuple[float, Any]] = []
+        ingress.push_into(timestamp, (key, value, trace_id, arrived), released)
+        self._route_released(released)
+        # Advance the slice watermark only after every released record
+        # is routed: a flush racing mid-release then stamps the older
+        # (conservative) watermark, never one promising records that
+        # are still in flight.
+        self._router.watermark.advance(
+            self._clock.slices_closed_by(ingress.watermark)
+        )
+
+    def _route_released(self, released: Iterable[Tuple[float, Any]]) -> None:
+        """Route records the reorder buffer released, in timestamp order."""
         router = self._router
-        for released_ts, (rkey, rvalue, trace, waited_since) in (
-            ingress.push(timestamp, (key, value, trace_id, arrived))
-        ):
+        for released_ts, (rkey, rvalue, trace, waited_since) in released:
             if waited_since is not None:
                 # Attribute the record's reorder-buffer residence to
                 # its trace: the gap between submission and release is
@@ -653,13 +654,6 @@ class AggregationService:
                 )
             for batch in router.put_event(rkey, rvalue, released_ts, trace):
                 self._transport.ship(batch)
-        # Advance the slice watermark only after every released record
-        # is routed: a flush racing mid-release then stamps the older
-        # (conservative) watermark, never one promising records that
-        # are still in flight.
-        router.watermark.advance(
-            self._time_clock.slices_closed_by(ingress.watermark)
-        )
 
     def submit_events(
         self,
@@ -842,13 +836,11 @@ class AggregationService:
         high = self._ingress.high
         if high == -math.inf:
             return
-        slice_seconds = self.slice_seconds
-        origin = self.origin
+        slice_end = self._clock.slice_end
         for gauge, handle in zip(
             self._watermark_gauges, self._transport.handles
         ):
-            closed_until = origin + handle.watermark * slice_seconds
-            gauge.set(max(0.0, high - closed_until))
+            gauge.set(max(0.0, high - slice_end(handle.watermark - 1)))
 
     @property
     def late_records(self) -> int:
@@ -893,22 +885,10 @@ class AggregationService:
             # final — release them in order, then close through the
             # last occupied slice (the event-time analogue of
             # TimeWindowEngine.finish closing its open slice).
-            for released_ts, (rkey, rvalue, trace, waited_since) in (
-                ingress.drain()
-            ):
-                if waited_since is not None and self._telemetry is not None:
-                    self._telemetry.tracer.record(
-                        trace,
-                        "reorder",
-                        time.perf_counter() - waited_since,
-                    )
-                for batch in self._router.put_event(
-                    rkey, rvalue, released_ts, trace
-                ):
-                    self._transport.ship(batch)
+            self._route_released(ingress.drain())
             if ingress.high != -math.inf:
                 self._router.watermark.advance(
-                    self._time_clock.slice_of(ingress.high) + 1
+                    self._clock.slice_of(ingress.high) + 1
                 )
         for batch in self._router.flush():
             self._transport.ship(batch)

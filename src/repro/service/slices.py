@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from repro.windows.plan import PlanStep, SharedPlan
+from repro.windows.plan import SharedPlan
 
 
 class SliceClock:
@@ -33,15 +33,9 @@ class SliceClock:
     """
 
     def __init__(self, plan: SharedPlan):
-        self.plan = plan
         self._cycle = plan.cycle_length
         self._edges = plan.edges  # ascending offsets in 1..cycle_length
         self._per_cycle = len(plan.edges)
-
-    @property
-    def slices_per_cycle(self) -> int:
-        """Number of slices in one composite cycle."""
-        return self._per_cycle
 
     def slices_closed_by(self, position: int) -> int:
         """How many slices end at positions ``<= position``.
@@ -65,6 +59,7 @@ class SliceClock:
         cycle_number, within = divmod(index, self._per_cycle)
         return cycle_number * self._cycle + self._edges[within]
 
-    def step_of(self, index: int) -> PlanStep:
-        """The plan step that closes slice ``index``."""
-        return self.plan.steps[index % self._per_cycle]
+    def slice_end(self, index: int) -> int:
+        """The exclusive end of slice ``index``: its first position
+        past the slice (``end_position(index) + 1``)."""
+        return self.end_position(index) + 1

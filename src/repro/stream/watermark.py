@@ -115,12 +115,12 @@ class BoundedLatenessWatermark(Watermark):
 class TimeSliceClock:
     """Maps event timestamps to time-slice indexes and back.
 
-    The event-time twin of :class:`repro.service.slices.SliceClock`:
-    where that clock counts slices closed by an arrival *position*, this
-    one counts slices closed by a watermark *timestamp*.  Slice ``k``
-    covers the half-open interval ``[origin + k*g, origin + (k+1)*g)``
-    for slice width ``g``, matching ``TimeSlicer``'s assignment rule, so
-    a record exactly on a boundary belongs to the *next* slice.
+    Answers the same contract as :class:`repro.service.slices.SliceClock`
+    (``slice_of``, ``slices_closed_by``, exclusive ``slice_end``) over
+    timestamps instead of arrival positions.  Slice ``k`` covers the
+    half-open interval ``[origin + k*g, origin + (k+1)*g)`` for slice
+    width ``g``, matching ``TimeSlicer``'s assignment rule, so a record
+    exactly on a boundary belongs to the *next* slice.
     """
 
     __slots__ = ("slice_seconds", "origin")
@@ -150,10 +150,6 @@ class TimeSliceClock:
             return 0
         return max(0, int((watermark - self.origin) // self.slice_seconds))
 
-    def start_time(self, index: int) -> float:
-        """Inclusive start of slice ``index``."""
-        return self.origin + index * self.slice_seconds
-
-    def end_time(self, index: int) -> float:
+    def slice_end(self, index: int) -> float:
         """The exclusive end timestamp of slice ``index``."""
         return self.origin + (index + 1) * self.slice_seconds

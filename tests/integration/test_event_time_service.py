@@ -8,9 +8,11 @@ stale slice watermarks, which the merger's monotone per-shard
 watermark must ignore, so the final answers are still byte-identical
 to a fault-free single-node run.
 
-Marked ``chaos`` (real processes, SIGKILL, restart backoffs); the
-in-process equivalence tests live in
-``tests/property/test_prop_event_time.py``.
+The kill tests are marked ``chaos`` (real processes, SIGKILL, restart
+backoffs); the in-process equivalence tests live in
+``tests/property/test_prop_event_time.py``.  One inline test here pins
+the completeness model both service modes share: count mode is event
+time with record ``i`` stamped ``float(i)``.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ import pytest
 from repro.operators.registry import get_operator
 from repro.service import AggregationService
 from repro.stream.engine import EventTimeEngine
+from repro.windows.query import Query
 from repro.windows.timebased import TimeQuery
 
-pytestmark = [pytest.mark.chaos, pytest.mark.timeout(120)]
+pytestmark = pytest.mark.timeout(120)
 
 QUERIES = (TimeQuery(2.0, 1.0), TimeQuery(5.0, 2.0))
 NUM_SHARDS = 3
@@ -83,6 +86,7 @@ def _wait_pid_dead(pid, timeout=10.0):
     )
 
 
+@pytest.mark.chaos
 def test_worker_kill_mid_reorder_keeps_watermark_monotone():
     """SIGKILL a worker while the reorder buffer is occupied.
 
@@ -149,6 +153,7 @@ def test_worker_kill_mid_reorder_keeps_watermark_monotone():
     assert result.stats.late_records == 0
 
 
+@pytest.mark.chaos
 def test_repeated_kills_still_exact():
     """Two kills of different shards; answers stay byte-identical."""
     records = _event_stream(600)
@@ -184,3 +189,62 @@ def test_repeated_kills_still_exact():
     answers.extend(service.poll())
     assert result.stats.failed_shards == ()
     assert answers == expected
+
+
+@pytest.mark.parametrize("operator_name", ["sum", "max"])
+@pytest.mark.parametrize(
+    "num_shards, batch_size", [(1, 5), (3, 16), (4, 64)]
+)
+def test_count_mode_is_time_mode_at_timestamp_position(
+    operator_name, num_shards, batch_size
+):
+    """A ``mode="global"`` service over ``Query(r, s)`` answers exactly
+    like a ``mode="time"`` service over ``TimeQuery(r, s)`` fed the
+    same records with record ``i`` stamped ``float(i)``: the count
+    answer at position ``p`` is the time answer for the window ending
+    at ``float(p)``.  Time mode may add answers only past the last
+    record, from the slice ``close`` closes."""
+    shapes = [(12, 4), (6, 2), (8, 8)]
+    records = [
+        (f"key-{(i * 7) % 11}", (i * 37 + 5) % 203 - 101)
+        for i in range(997)
+    ]
+
+    def run(mode, queries, submit):
+        service = AggregationService(
+            queries,
+            get_operator(operator_name),
+            num_shards=num_shards,
+            batch_size=batch_size,
+            transport="inline",
+            mode=mode,
+            resolution=1.0,
+        )
+        for start in range(0, len(records), 50):
+            submit(service, start, records[start : start + 50])
+        return service.close().answers
+
+    count_answers = run(
+        "global",
+        [Query(r, s) for r, s in shapes],
+        lambda service, start, chunk: service.submit_many(chunk),
+    )
+    time_answers = run(
+        "time",
+        [TimeQuery(float(r), float(s)) for r, s in shapes],
+        lambda service, start, chunk: service.submit_events(
+            (key, float(start + offset), value)
+            for offset, (key, value) in enumerate(chunk)
+        ),
+    )
+    assert count_answers
+    expected = [
+        (float(position), (query.range_size, query.slide), answer)
+        for position, query, answer in count_answers
+    ]
+    observed = [
+        (end, (int(query.range_seconds), int(query.slide_seconds)), answer)
+        for end, query, answer in time_answers
+    ]
+    assert observed[: len(expected)] == expected
+    assert all(end > len(records) for end, _, _ in observed[len(expected) :])

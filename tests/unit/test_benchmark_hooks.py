@@ -53,3 +53,16 @@ HOOKS = [
 def test_benchmark_hook_exists_and_is_callable(owner, attribute):
     assert callable(getattr(owner, attribute, None))
 
+
+
+def test_mergers_do_not_inherit_from_each_other():
+    """The tracing wraps ``on_output`` on both merger classes in turn.
+
+    If one merger subclassed the other and inherited the wrapped
+    method, a traced run would nest two ``service.merge`` spans per
+    output and count ``service.merge.answers`` twice — without any
+    error, only wrong layer figures.  The mergers may share a private
+    base; they must not derive from each other.
+    """
+    assert not issubclass(GlobalMerger, EventTimeMerger)
+    assert not issubclass(EventTimeMerger, GlobalMerger)

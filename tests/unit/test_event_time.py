@@ -87,8 +87,7 @@ def test_time_slice_clock_boundaries():
     assert clock.slice_of(1.49) == 0
     # A record exactly on a boundary belongs to the *next* slice.
     assert clock.slice_of(1.5) == 1
-    assert clock.start_time(2) == 2.0
-    assert clock.end_time(0) == 1.5
+    assert clock.slice_end(0) == 1.5
     # slices_closed_by: slice k is closed once the watermark passes
     # its end; -inf (nothing observed) closes nothing.
     assert clock.slices_closed_by(-math.inf) == 0
@@ -544,6 +543,41 @@ def test_service_submit_event_rejects_non_numeric_timestamps(bad):
     except BaseException:
         service.abort()
         raise
+
+
+WRONG_MODE_CALLS = [
+    ("time", "submit", lambda s: s.submit("k", 1)),
+    ("time", "submit_many", lambda s: s.submit_many([("k", 1)])),
+    ("time", "submit_column", lambda s: s.submit_column("k", [1, 2])),
+    ("global", "submit_event", lambda s: s.submit_event("k", 1, 1.0)),
+    ("per_key", "submit_events", lambda s: s.submit_events([("k", 1.0, 1)])),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, name, call",
+    WRONG_MODE_CALLS,
+    ids=[f"{mode}-{name}" for mode, name, _ in WRONG_MODE_CALLS],
+)
+def test_service_refuses_records_of_the_other_order_mode(mode, name, call):
+    """Time mode takes only event-timestamped records, the count modes
+    none; a refused call names the mode and routes nothing, and every
+    submit call refuses a closed service."""
+    from repro.errors import ServiceError
+    from repro.service import AggregationService
+
+    service = AggregationService(
+        [TimeQuery(2.0, 1.0)] if mode == "time" else [Query(4, 2)],
+        get_operator("sum"),
+        num_shards=2,
+        mode=mode,
+        transport="inline",
+    )
+    with pytest.raises(ServiceError, match=repr(mode)):
+        call(service)
+    assert service.close().stats.records_submitted == 0
+    with pytest.raises(ServiceError, match="closed"):
+        call(service)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, True, "1.0"])

@@ -110,3 +110,28 @@ def test_concurrent_submitters_interleave_batches_atomically():
     result = gateway.close()
     assert result.stats.records_submitted == 4 * per_thread
     assert result.stats.records_processed == 4 * per_thread
+
+
+def test_late_record_mid_batch_counts_the_records_taken_before_it():
+    """A batch that raises at a late record still counts the records
+    the service accepted ahead of it."""
+    from repro.errors import LateRecordError
+    from repro.windows.timebased import TimeQuery
+
+    service = AggregationService(
+        [TimeQuery(4.0, 2.0)],
+        get_operator("sum"),
+        num_shards=2,
+        transport="inline",
+        batch_size=8,
+        mode="time",
+        lateness=0.5,
+        late_policy="raise",
+    )
+    gateway = ServiceGateway(service)
+    with pytest.raises(LateRecordError):
+        gateway.submit_events(
+            [("a", 1.0, 1), ("a", 5.0, 1), ("a", 2.0, 1), ("a", 6.0, 1)]
+        )
+    assert gateway.snapshot()["records_submitted"] == 2
+    assert gateway.close().stats.records_submitted == 2

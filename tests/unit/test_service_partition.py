@@ -245,7 +245,7 @@ def test_slice_clock_matches_partial_aggregator_boundaries(
             boundaries.append(position)
     for index, end in enumerate(boundaries):
         assert clock.end_position(index) == end
-        assert clock.step_of(index) == plan.steps[index % len(plan.steps)]
+        assert clock.slice_end(index) == end + 1
     for position in range(1, 161):
         expected_closed = sum(1 for end in boundaries if end <= position)
         assert clock.slices_closed_by(position) == expected_closed
